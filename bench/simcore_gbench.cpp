@@ -1,6 +1,7 @@
 // Self-contained wall-clock microbenchmarks of the simulator core:
 // raw event dispatch through the engine queue, the same-instant yield
-// fast path, fiber switches, timed sleep/wake chains, kernel task
+// fast path, fiber switches, timed sleep/wake chains, a crowded queue
+// bucket (96 fibers re-posting out of order), kernel task
 // dispatch + steals, and a full small OpenMP region.  These guard the
 // *host* performance of the reproduction (every figure is built from
 // millions of these operations).
@@ -135,6 +136,30 @@ BenchResult bench_sleep_wake(int reps, int n) {
     return static_cast<std::uint64_t>(n);
   };
   return run_bench("sleep_wake", "wakes", reps, rep,
+                   [&] { return eng.stats().queue_allocs; });
+}
+
+// Crowded cursor bucket: 96 fibers (the thief count of the fig_numa
+// taskbench at t=96) each sleep a short, varying time, so nearly every
+// wake lands in the bucket being drained behind wakes already queued
+// there -- the out-of-order append pattern of spinning work-stealers.
+BenchResult bench_crowded_bucket(int reps, int sleeps) {
+  constexpr int kFibers = 96;
+  Engine eng;
+  auto rep = [&]() -> std::uint64_t {
+    std::vector<kop::sim::SimThread*> ts;
+    for (int t = 0; t < kFibers; ++t)
+      ts.push_back(eng.spawn("c" + std::to_string(t), [&eng, sleeps, t] {
+        Lcg lcg{static_cast<std::uint64_t>(t) + 1};
+        for (int i = 0; i < sleeps; ++i)
+          eng.sleep_for(16 * static_cast<kop::sim::Time>(
+                                 1 + (lcg.next() >> 33) % 256));
+      }));
+    for (auto* t : ts) eng.wake(t);
+    eng.run();
+    return static_cast<std::uint64_t>(kFibers) * sleeps;
+  };
+  return run_bench("crowded_bucket", "wakes", reps, rep,
                    [&] { return eng.stats().queue_allocs; });
 }
 
@@ -288,6 +313,8 @@ int main(int argc, char** argv) {
     results.push_back(bench_fiber_switch(reps, quick ? 20'000 : 100'000));
   if (want("sleep_wake"))
     results.push_back(bench_sleep_wake(reps, quick ? 5'000 : 25'000));
+  if (want("crowded_bucket"))
+    results.push_back(bench_crowded_bucket(reps, quick ? 200 : 1'000));
   if (want("far_horizon"))
     results.push_back(bench_far_horizon(reps, quick ? 10'000 : 50'000));
   if (want("nk_task")) bench_nk_tasks(quick ? 2 : 5, quick ? 500 : 2'000, &results);

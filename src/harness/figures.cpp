@@ -12,13 +12,22 @@ namespace kop::harness {
 
 namespace {
 
+// Appends the whole formatted string, however long (whole tables pass
+// through here).
 void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
   va_list ap;
   va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_list again;
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
   va_end(ap);
-  out += buf;
+  if (n > 0) {
+    const std::size_t old = out.size();
+    out.resize(old + static_cast<std::size_t>(n));
+    std::vsnprintf(out.data() + old, static_cast<std::size_t>(n) + 1, fmt,
+                   again);
+  }
+  va_end(again);
 }
 
 jobs::PointSpec nas_point(const std::string& machine, core::PathKind path,

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -14,10 +15,15 @@ namespace kop::harness::jobs {
 
 namespace {
 
+// "<hostname>:<pid>:<n>": the counter keeps in-process sessions apart,
+// since the coordinator's BYE reclaims every lease the named worker
+// holds.
 std::string default_worker_id() {
+  static std::atomic<std::uint64_t> sessions{0};
   char host[256] = "?";
   ::gethostname(host, sizeof(host) - 1);
-  return std::string(host) + ":" + std::to_string(::getpid());
+  return std::string(host) + ":" + std::to_string(::getpid()) + ":" +
+         std::to_string(sessions.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace

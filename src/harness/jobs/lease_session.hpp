@@ -33,8 +33,9 @@ class LeaseSession {
  public:
   /// Connects to the daemon socket and performs the HELLO handshake.
   /// Throws std::runtime_error when the daemon is unreachable.  The
-  /// worker id defaults to "<hostname>:<pid>" (the claim-file owner
-  /// convention).
+  /// worker id defaults to "<hostname>:<pid>:<n>", n counting the
+  /// process's sessions, so two sessions in one process never share a
+  /// name (a BYE reclaims every lease held under the name).
   explicit LeaseSession(const std::string& socket_path,
                         std::string worker = "");
   ~LeaseSession();

@@ -64,16 +64,13 @@ void EventQueue::ring_insert(Event ev) {
     spares_.pop_back();
   }
   const Key k{ev.at, ev.key, ev.seq, static_cast<std::uint32_t>(b.slab.size())};
-  // Dirty only when this append actually breaks the ascending order;
-  // timer-style monotone arrivals then never pay a sort.
-  if (!b.dirty && b.keys.size() > b.head) {
-    const Key& last = b.keys.back();
-    b.dirty = k.at < last.at ||
-              (k.at == last.at &&
-               (k.key < last.key || (k.key == last.key && k.seq < last.seq)));
-  }
+  // Extend the sorted prefix only while the tail is empty and the
+  // order holds; anything else waits in the tail for settle().
+  const bool in_order = b.sorted == b.keys.size() &&
+                        (b.keys.size() == b.head || !key_less(k, b.keys.back()));
   grow_push(b.slab, std::move(ev));
   grow_push(b.keys, k);
+  if (in_order) b.sorted = b.keys.size();
   const std::uint64_t bit = 1ull << (idx % 64);
   if ((bitmap_[idx / 64] & bit) == 0) {
     bitmap_[idx / 64] |= bit;
@@ -83,14 +80,33 @@ void EventQueue::ring_insert(Event ev) {
 }
 
 void EventQueue::settle(Bucket& b) {
-  if (b.dirty) {
-    std::sort(b.keys.begin() + static_cast<std::ptrdiff_t>(b.head),
-              b.keys.end(), [](const Key& a, const Key& c) {
-                if (a.at != c.at) return a.at < c.at;
-                if (a.key != c.key) return a.key < c.key;
-                return a.seq < c.seq;
-              });
-    b.dirty = false;
+  if (b.sorted == b.keys.size()) return;
+  const auto first = b.keys.begin() + static_cast<std::ptrdiff_t>(b.head);
+  const auto mid = b.keys.begin() + static_cast<std::ptrdiff_t>(b.sorted);
+  const auto last = b.keys.end();
+  b.sorted = b.keys.size();
+  if (mid - first < last - mid) {
+    // A tail longer than the prefix (a bucket filled in random order)
+    // costs no more to sort whole than to sort and merge.
+    std::sort(first, last, key_less);
+    return;
+  }
+  std::sort(mid, last, key_less);
+  if (!key_less(*mid, *(mid - 1))) return;
+  // Backward merge: the tail moves out to scratch_, then the larger of
+  // the two back elements fills [first, last) from the end.  Prefix
+  // keys below the tail's smallest key are never touched.
+  if (scratch_.capacity() < static_cast<std::size_t>(last - mid)) ++allocs_;
+  scratch_.assign(mid, last);
+  auto out = last;
+  auto a = mid;
+  auto t = scratch_.end();
+  while (t != scratch_.begin()) {
+    if (a != first && key_less(*(t - 1), *(a - 1))) {
+      *--out = *--a;
+    } else {
+      *--out = *--t;
+    }
   }
 }
 
@@ -126,7 +142,7 @@ void EventQueue::retire_run_bucket() {
     pb.slab.clear();
     pb.keys.clear();
     pb.head = 0;
-    pb.dirty = false;
+    pb.sorted = 0;
     // Keep a few spares on hand for the next cold bucket the clock
     // reaches.  Only for narrow workloads (few occupied buckets, the
     // marching-clock pattern): when many buckets are live at once,

@@ -15,18 +15,34 @@
 //     kBucketWidthNs each, covering the window [base_epoch_,
 //     base_epoch_ + kBuckets) bucket-epochs ahead of the clock.  Each
 //     bucket is a payload slab plus a parallel vector of 32-byte sort
-//     keys (at, key, seq, slab index); only the keys are sorted --
-//     lazily, when the cursor reaches the bucket, and only if an
-//     append actually broke the ascending order -- so 88-byte Events
-//     are moved exactly twice, on push and on pop.  A 64-bit-word
-//     occupancy bitmap finds the next nonempty bucket with a couple of
-//     countr_zero scans.
+//     keys (at, key, seq, slab index); only the keys are ordered, so
+//     88-byte Events are moved exactly twice, on push and on pop.  A
+//     64-bit-word occupancy bitmap finds the next nonempty bucket with
+//     a couple of countr_zero scans.
 //   * overflow_  a binary min-heap on (at, key, seq) for events beyond
 //     the ring horizon; drained into the ring as the window advances.
+//
+// How a bucket keeps its order: its live keys [head, end) split into a
+// sorted prefix [head, sorted) and an unsorted tail [sorted, end).  An
+// append that is not below the last key, onto an empty tail, just
+// extends the prefix (timer-style monotone arrivals never sort).  Any
+// other append joins the tail.  settle() -- lazily, when the bucket's
+// keys are next read -- sorts only the tail, copies it into the
+// queue's scratch buffer and merges it backwards into the prefix, so a
+// late key costs the keys it overtakes, not a sort of the whole
+// bucket.  (A crowd of spinning threads re-posting a little ahead of
+// the clock lands one late key per instant in the cursor bucket.)  A
+// tail longer than its prefix -- a bucket filled in random order -- is
+// sorted together with the prefix instead: merging would only add a
+// copy.
+// The scratch buffer is retained like every other level, so a warm
+// queue still allocates nothing.
 //
 // Total order is ascending (at, key, seq), identical to the old
 // comparator, so dispatch order -- and therefore every simulation
 // output -- is bit-for-bit unchanged under all SchedPolicy modes.
+// seq is unique, so the order is strict: sorting the tail and merging
+// yields exactly the sequence a full re-sort would.
 //
 // Invariants (the correctness core):
 //   * The current instant holds *every* pending event with
@@ -49,7 +65,7 @@
 //     append past the run region, so the references stay valid across
 //     slab reallocation.
 //   * next_time() never advances the cursor and never extracts a run
-//     (it may lazily sort a bucket's keys, which is unobservable);
+//     (it may lazily settle a bucket's keys, which is unobservable);
 //     run_until() peeks between every dispatch, so a mutating peek
 //     would corrupt ordering when a dispatched event posts new work.
 //
@@ -115,19 +131,26 @@ class EventQueue {
   Time next_time();
 
  private:
-  /// Sort key mirroring one slab entry; what settle() actually sorts.
+  /// Sort key mirroring one slab entry; what settle() actually orders.
   struct Key {
     Time at;
     std::uint64_t key;
     std::uint64_t seq;
     std::uint32_t idx;  // slab index of the payload
   };
+  // A lambda, not a function: std::sort inlines a closure type's call
+  // but not always a call through a function pointer.
+  static constexpr auto key_less = [](const Key& a, const Key& b) {
+    if (a.at != b.at) return a.at < b.at;
+    if (a.key != b.key) return a.key < b.key;
+    return a.seq < b.seq;
+  };
 
   struct Bucket {
     std::vector<Event> slab;  // payloads; stable indices, husks after pop
     std::vector<Key> keys;    // keys[head, end) are live
     std::size_t head = 0;
-    bool dirty = false;  // an append broke ascending order
+    std::size_t sorted = 0;  // keys[head, sorted) ascending; rest unsorted
   };
 
   static constexpr std::uint32_t kNoBucket = ~0u;
@@ -148,7 +171,8 @@ class EventQueue {
   /// Index of the first occupied bucket at/after `start`, modular.
   /// Requires ring_count_ > 0.
   std::size_t scan_from(std::size_t start) const;
-  /// Sort bucket `b`'s live keys if dirty (ascending (at, key, seq)).
+  /// Order bucket `b`'s live keys ascending (at, key, seq): sort the
+  /// unsorted tail and merge it into the sorted prefix.
   void settle(Bucket& b);
 
   template <typename V, typename X>
@@ -186,6 +210,8 @@ class EventQueue {
     std::vector<Key> keys;
   };
   std::vector<Spare> spares_;
+  // settle()'s merge buffer: holds one bucket's sorted tail.
+  std::vector<Key> scratch_;
 
   // Beyond-horizon events, min-heap on (at, key, seq).
   std::vector<Event> overflow_;

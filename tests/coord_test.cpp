@@ -29,6 +29,7 @@
 #include "coord/server.hpp"
 #include "harness/figures.hpp"
 #include "harness/jobs/cache.hpp"
+#include "harness/jobs/lease_session.hpp"
 #include "harness/jobs/runner.hpp"
 
 namespace {
@@ -667,7 +668,9 @@ TEST(CoordServer, EndToEndOverUnixSocket) {
       const auto grant = client.next("tester");
       ASSERT_TRUE(grant.granted) << grant.status;
       seen.insert(grant.point);
-      if (grant.point == 1) EXPECT_EQ(grant.payload, "tok-one");
+      if (grant.point == 1) {
+        EXPECT_EQ(grant.payload, "tok-one");
+      }
       EXPECT_TRUE(client.renew("tester", grant.lease_id));
       EXPECT_TRUE(client.done("tester", grant.lease_id, grant.point));
     }
@@ -757,6 +760,42 @@ TEST(CoordServer, JobRunnerCoordModeCoversSweepExactlyOnce) {
             static_cast<std::uint64_t>(points.size()));
 
   fs::remove_all(root);
+}
+
+// Two sessions of one process, both with the default worker id: one
+// holds a lease while the other ends (BYE).  The coordinator reclaims
+// every lease held under the departing name, so the names must differ
+// or the sibling's live lease is requeued and its point simulated twice.
+TEST(CoordServer, DefaultNamedSessionsKeepEachOthersLeases) {
+  const std::string sock =
+      "/tmp/kop_coord_alias_" + std::to_string(getpid()) + ".sock";
+  coord::Coordinator c({}, {});
+  coord::ServerOptions sopt;
+  sopt.socket_path = sock;
+  sopt.poll_ms = 10;
+  coord::Server server(&c, sopt);
+  std::thread daemon([&] { server.run(); });
+
+  const jobs::PointSpec point = tiny_point(1);
+  {
+    jobs::LeaseSession holder(sock);
+    {
+      jobs::LeaseSession sibling(sock);
+      EXPECT_NE(holder.worker(), sibling.worker());
+      ASSERT_TRUE(holder.try_acquire(point));
+    }  // the sibling says BYE here
+    jobs::LeaseSession third(sock);
+    EXPECT_FALSE(third.try_acquire(point)) << "lease requeued by a BYE";
+    holder.complete(point);
+  }
+
+  {
+    coord::Client admin(sock);
+    admin.shutdown();
+  }
+  daemon.join();
+  EXPECT_EQ(c.counters().get("leases_released_bye"), 0u);
+  EXPECT_EQ(c.counters().get("completions"), 1u);
 }
 
 // --- TCP transport ---------------------------------------------------------

@@ -181,6 +181,65 @@ TEST(QueueOrder, MatchesReferenceHeapModel) {
   }
 }
 
+// Model check for the crowded cursor bucket: 96 "thieves" each keep
+// one pending wake and, every time theirs fires, re-post a little
+// ahead of the clock -- mostly into the bucket being drained, behind
+// keys already there, so nearly every instant appends out of order
+// between two pops.  Equal instants and small keys force the key and
+// seq tie-breaks.  A warm queue must also stop allocating.
+TEST(QueueOrder, CrowdedBucketMatchesReferenceHeapModel) {
+  struct Ref {
+    Time at;
+    std::uint64_t key;
+    std::uint64_t seq;
+  };
+  auto ref_later = [](const Ref& a, const Ref& b) {
+    if (a.at != b.at) return a.at > b.at;
+    if (a.key != b.key) return a.key > b.key;
+    return a.seq > b.seq;
+  };
+  constexpr int kThieves = 96;
+  constexpr int kSteps = 200'000;
+  for (const bool keyed : {false, true}) {
+    EventQueue q(keyed);
+    std::priority_queue<Ref, std::vector<Ref>, decltype(ref_later)> model(
+        ref_later);
+    Rng rng(keyed ? 96 : 69);
+    std::uint64_t seq = 0;
+    auto post = [&](Time at) {
+      Event ev;
+      ev.at = at;
+      ev.seq = seq++;
+      ev.key = keyed ? rng.next_u64() % 4 : 0;
+      q.push(ev);
+      model.push(Ref{ev.at, ev.key, ev.seq});
+    };
+    for (int t = 0; t < kThieves; ++t) {
+      post(static_cast<Time>(rng.next_u64() % EventQueue::kBucketWidthNs));
+    }
+    std::uint64_t warm_allocs = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) warm_allocs = q.allocs();
+      ASSERT_EQ(q.next_time(), model.top().at) << "step " << step;
+      const Event got = q.pop();
+      const Ref want = model.top();
+      model.pop();
+      ASSERT_EQ(got.at, want.at) << "step " << step;
+      ASSERT_EQ(got.key, want.key) << "step " << step;
+      ASSERT_EQ(got.seq, want.seq) << "step " << step;
+      const std::uint64_t r = rng.next_u64() % 100;
+      if (r < 10) {
+        post(got.at);  // same-instant repost
+      } else {
+        // Coarse offsets so several thieves share an instant.
+        post(got.at + 16 * static_cast<Time>(1 + rng.next_u64() % 256));
+      }
+      ASSERT_EQ(q.size(), model.size());
+    }
+    EXPECT_EQ(q.allocs(), warm_allocs) << "keyed=" << keyed;
+  }
+}
+
 // A warm queue cycling through a fixed working set must stop allocating.
 TEST(QueueOrder, WarmQueueStopsAllocating) {
   EventQueue q(false);

@@ -1,7 +1,12 @@
 // Unit tests for the discrete-event engine, fibers, RNG and stats.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -49,6 +54,109 @@ TEST(Fiber, NestedFibersRestoreCurrent) {
   });
   outer.resume();
   EXPECT_EQ(Fiber::current(), nullptr);
+}
+
+// The floating-point control state a fiber switch must carry: MXCSR
+// (SSE rounding) and the x87 control word.
+struct FpControl {
+  int round = 0;  // std::fegetround()
+#if defined(__x86_64__)
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+#endif
+  bool operator==(const FpControl&) const = default;
+};
+
+FpControl fp_control() {
+  FpControl c;
+  c.round = std::fegetround();
+#if defined(__x86_64__)
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(c.mxcsr), "=m"(c.x87_cw));
+#endif
+  return c;
+}
+
+TEST(Fiber, SwitchKeepsEachSidesRoundingMode) {
+  const int host_round = std::fegetround();
+  FpControl fiber_set, fiber_seen;
+  Fiber f([&] {
+    std::fesetround(FE_TOWARDZERO);
+    fiber_set = fp_control();
+    Fiber::yield();
+    fiber_seen = fp_control();
+  });
+  const FpControl host_before = fp_control();
+  f.resume();
+  EXPECT_EQ(fp_control(), host_before) << "fiber's mode leaked to resumer";
+  std::fesetround(FE_UPWARD);
+  const FpControl host_upward = fp_control();
+  f.resume();
+  EXPECT_EQ(fp_control(), host_upward) << "fiber's mode leaked on finish";
+  std::fesetround(host_round);
+  EXPECT_EQ(fiber_set.round, FE_TOWARDZERO);
+  EXPECT_EQ(fiber_seen, fiber_set) << "resumer's mode leaked into fiber";
+}
+
+TEST(Fiber, ExceptionAfterManySwitchesReachesResumer) {
+  constexpr int kSwitches = 20'000;
+  Fiber f([] {
+    for (int i = 0; i < kSwitches; ++i) Fiber::yield();
+    throw std::runtime_error("late");
+  });
+  for (int i = 0; i < kSwitches; ++i) f.resume();
+  try {
+    f.resume();
+    FAIL() << "exception did not reach the resumer";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "late");
+  }
+  EXPECT_TRUE(f.finished());
+}
+
+// Recurses, 512 bytes a frame, until `target` bytes of stack are in
+// use below `top`; returns the depth.  Measured at the frame address:
+// with ASan's fake stacks the locals live on the heap.
+int dive(const char* top, std::size_t target) {
+  volatile char pad[512];
+  pad[0] = 1;
+  const auto used = static_cast<std::size_t>(
+      top - static_cast<const char*>(__builtin_frame_address(0)));
+  if (used >= target) return pad[0];
+  return dive(top, target) + pad[0];
+}
+
+TEST(Fiber, DeepRecursionNearStackSizeWorks) {
+  constexpr std::size_t kStack = 128 * 1024;
+  int depth = 0;
+  std::unique_ptr<Fiber> f;
+  f = std::make_unique<Fiber>(
+      [&] {
+        const char* top =
+            static_cast<const char*>(f->stack_base()) + f->map_bytes();
+        Fiber::yield();  // the frames must survive a switch out and in
+        depth = dive(top, kStack - 8 * 1024);
+      },
+      kStack);
+  f->resume();
+  f->resume();
+  EXPECT_TRUE(f->finished());
+  EXPECT_GT(depth, 100);
+}
+
+// Runs on its own host thread for a fresh, empty stack pool.
+TEST(Fiber, SuspendedFiberStackIsNotPooled) {
+  std::thread([] {
+    auto suspended = std::make_unique<Fiber>([] { Fiber::yield(); });
+    suspended->resume();
+    const std::size_t pooled = Fiber::pooled_stacks();
+    suspended.reset();
+    EXPECT_EQ(Fiber::pooled_stacks(), pooled)
+        << "a stack with live frames went back to the pool";
+    auto done = std::make_unique<Fiber>([] {});
+    done->resume();
+    done.reset();
+    EXPECT_EQ(Fiber::pooled_stacks(), pooled + 1);
+  }).join();
 }
 
 TEST(Engine, SleepAdvancesVirtualTime) {
