@@ -24,7 +24,8 @@
 namespace kop::harness::jobs {
 
 /// Whether fork-based checkpointing is available in this build (false
-/// under ThreadSanitizer; callers fall back to cold per-point runs).
+/// under ThreadSanitizer and AddressSanitizer; callers fall back to cold
+/// per-point runs).
 bool checkpoint_supported();
 
 /// Execute every spec of one prefix group, sharing a single warm

@@ -676,7 +676,7 @@ void check_journal_replay(const CaseParams& params,
 // run.  Replay the case with a fork at the snapshot: the forked child
 // and the continuing parent must both reproduce the cold run's engine
 // dispatch digest, OMPT trace digest, and encoded metrics document
-// bit-for-bit.  Skipped when fork is unsafe (TSan builds).
+// bit-for-bit.  Skipped when fork is unsafe (TSan and ASan builds).
 void check_checkpoint_equivalence(const CaseParams& params,
                                   const Observation& cold,
                                   const std::string& cold_encoded,

@@ -36,7 +36,8 @@
 //                        measurement boundary (the --checkpoint fast
 //                        path) reproduces the cold run exactly, in both
 //                        the forked child and the continuing parent
-//                        (skipped under TSan, where fork is unsafe)
+//                        (skipped under TSan and ASan, where fork
+//                        is unsafe)
 //
 // A failing case is shrunk to a minimal failing CaseParams; its token
 // is a single space-free string that replays from the CLI

@@ -11,14 +11,7 @@
 #include <stdexcept>
 
 #include "sim/fiber.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define KOP_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define KOP_TSAN_BUILD 1
-#endif
-#endif
+#include "sim/sanitizers.hpp"
 
 namespace kop::sim {
 
@@ -77,7 +70,7 @@ void write_all(int fd, const char* data, std::size_t len) {
 }  // namespace
 
 bool Checkpoint::supported() {
-#ifdef KOP_TSAN_BUILD
+#if defined(KOP_TSAN_BUILD) || defined(KOP_ASAN_BUILD)
   return false;
 #else
   return true;
